@@ -994,7 +994,7 @@ func (e *Engine) split(rs *rangeState, now time.Time, share, ncidr float64) {
 		bit := rs.prefix.Bits()
 		for k, st := range rs.ips {
 			child := cl
-			if netaddr.BitAt(k.Prefix().Addr(), bit) {
+			if k.Bit(bit) {
 				child = ch
 			}
 			child.ips[k] = st
@@ -1033,22 +1033,24 @@ func (e *Engine) split(rs *rangeState, now time.Time, share, ncidr float64) {
 func (e *Engine) mergePass(now time.Time, collapse bool) int {
 	merges := 0
 	for {
-		prefixes := e.active.Prefixes()
+		ranges := e.activeRanges()
 		// Deepest first, so cascades can continue within one sweep.
-		sort.Slice(prefixes, func(i, j int) bool { return prefixes[i].Bits() > prefixes[j].Bits() })
+		sort.Slice(ranges, func(i, j int) bool { return ranges[i].prefix.Bits() > ranges[j].prefix.Bits() })
 		changed := false
-		for _, p := range prefixes {
-			rs, ok := e.active.Get(p)
-			if !ok {
-				continue // already merged this sweep
-			}
+		for _, ar := range ranges {
+			p, rs := ar.prefix, ar.rs
+			// Visit each pair once, via its low child. A low child is only
+			// ever removed on its own visit, so its state from the walk is
+			// still current here.
 			if !netaddr.IsLowChild(p) || p.Bits() == 0 {
-				continue // visit each pair once, via its low child
+				continue
 			}
 			sibPfx, ok := netaddr.Sibling(p)
 			if !ok {
 				continue
 			}
+			// The sibling is looked up afresh: it may be a parent merged
+			// earlier in this sweep.
 			sib, ok := e.active.Get(sibPfx)
 			if !ok {
 				continue // sibling currently subdivided
@@ -1090,6 +1092,23 @@ func (e *Engine) mergePass(now time.Time, collapse bool) int {
 			return merges
 		}
 	}
+}
+
+// activeRange is one entry of the active trie: a range and its state.
+type activeRange struct {
+	prefix netip.Prefix
+	rs     *rangeState
+}
+
+// activeRanges lists the active ranges in netaddr.Key order, the order the
+// trie's pre-order walk yields.
+func (e *Engine) activeRanges() []activeRange {
+	out := make([]activeRange, 0, e.active.Len())
+	e.active.Walk(func(p netip.Prefix, rs *rangeState) bool {
+		out = append(out, activeRange{p, rs})
+		return true
+	})
+	return out
 }
 
 // tryJoin returns the merged parent range if lo and hi are mergeable, else

@@ -177,12 +177,9 @@ func (e *Engine) compact(now time.Time) int {
 // the sweep's own merges are picked up by the caller's next sweep.
 func (e *Engine) compactCandidates() []compactCand {
 	var cands []compactCand
-	for _, p := range e.active.Prefixes() {
+	for _, ar := range e.activeRanges() {
+		p, rs := ar.prefix, ar.rs
 		if p.Bits() == 0 || !netaddr.IsLowChild(p) {
-			continue
-		}
-		rs, ok := e.active.Get(p)
-		if !ok {
 			continue
 		}
 		sibPfx, ok := netaddr.Sibling(p)

@@ -88,15 +88,12 @@ func (e *Engine) encodeState(enc *persist.Encoder) {
 	enc.Time(e.now)
 	enc.Time(e.lastCycle)
 
-	prefixes := e.active.Prefixes()
-	sort.Slice(prefixes, func(i, j int) bool {
-		return netaddr.KeyOf(prefixes[i]).Less(netaddr.KeyOf(prefixes[j]))
-	})
-	enc.Uvarint(uint64(len(prefixes)))
-	for _, p := range prefixes {
-		rs, _ := e.active.Get(p)
+	// The trie walk yields the canonical order.
+	enc.Uvarint(uint64(e.active.Len()))
+	e.active.Walk(func(_ netip.Prefix, rs *rangeState) bool {
 		encodeRange(enc, rs)
-	}
+		return true
+	})
 
 	// Shared-sketch section: the fixed-memory tier's window must survive a
 	// kill, or restored sketched ranges would lose their per-source
@@ -469,6 +466,7 @@ func (e *Engine) ApplyEvent(ev Event) error {
 			rs.classifiedAt = ev.At
 			rs.lastSeen = ev.At
 			rs.ips = nil
+			rs.classifiedSketched = ev.Sketch != nil
 			approximateCounters(rs, ev)
 		}
 		e.active.Insert(p, rs)
@@ -482,6 +480,10 @@ func (e *Engine) ApplyEvent(ev Event) error {
 		rs.classifiedAt = ev.At
 		e.ipCount -= len(rs.ips)
 		rs.ips = nil
+		rs.ring = nil
+		rs.sketched = false
+		rs.sketchCalm = 0
+		rs.classifiedSketched = ev.Sketch != nil
 		if ev.At.After(rs.lastSeen) {
 			rs.lastSeen = ev.At
 		}

@@ -328,3 +328,64 @@ func TestSketchStatusConcurrentWithIngest(t *testing.T) {
 		t.Errorf("IPStateCount = %d, exceeds the governed budget 100", s.eng.IPStateCount())
 	}
 }
+
+// TestSketchedTailReplayKeepsProvenance restores a sketch-tier engine from a
+// warm checkpoint taken mid-flood and replays the journal tail recorded
+// after it. Classifications and joins decided on sketched evidence during
+// the tail must come back with their sketch provenance: the restored
+// partition's Sketched flags equal the live engine's.
+func TestSketchedTailReplayKeepsProvenance(t *testing.T) {
+	recs := goldenStream(t, true)
+	newEngine := func(onEvent func(Event)) *Engine {
+		cfg := goldenConfig(t, true)
+		cfg.OnEvent = onEvent
+		e, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	var events []Event
+	live := newEngine(func(ev Event) { events = append(events, ev) })
+	cut := recs[0].Ts.Add(25 * time.Minute)
+	var ckpt []byte
+	var ckptSeq uint64
+	for _, r := range recs {
+		if ckpt == nil && !r.Ts.Before(cut) {
+			ckpt, ckptSeq = live.MarshalState(), live.Seq()
+		}
+		live.Feed(r)
+	}
+
+	restored := newEngine(func(Event) {})
+	if err := restored.UnmarshalState(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	sketchedTail := 0
+	for _, ev := range events {
+		if ev.Seq <= ckptSeq {
+			continue
+		}
+		if ev.Sketch != nil {
+			sketchedTail++
+		}
+		if err := restored.ApplyEvent(ev); err != nil {
+			t.Fatalf("ApplyEvent seq %d (%v): %v", ev.Seq, ev.Kind, err)
+		}
+	}
+	if sketchedTail == 0 {
+		t.Fatal("no sketched decisions in the journal tail; test lost its teeth")
+	}
+	a, b := live.Snapshot(), restored.Snapshot()
+	if len(a) != len(b) {
+		t.Fatalf("partition sizes differ: live %d vs restored %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i].Prefix != b[i].Prefix || a[i].Classified != b[i].Classified ||
+			a[i].Sketched != b[i].Sketched {
+			t.Errorf("range %d differs: live %v/%v/%v vs restored %v/%v/%v",
+				i, a[i].Prefix, a[i].Classified, a[i].Sketched,
+				b[i].Prefix, b[i].Classified, b[i].Sketched)
+		}
+	}
+}

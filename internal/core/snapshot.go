@@ -2,11 +2,9 @@ package core
 
 import (
 	"net/netip"
-	"sort"
 	"time"
 
 	"ipd/internal/flow"
-	"ipd/internal/netaddr"
 	"ipd/internal/trie"
 )
 
@@ -70,15 +68,13 @@ func (e *Engine) info(rs *rangeState) RangeInfo {
 	return ri
 }
 
-// Snapshot returns all active ranges sorted by (family, address, length).
+// Snapshot returns all active ranges sorted by (family, address, length),
+// the order the trie walk yields them in.
 func (e *Engine) Snapshot() []RangeInfo {
 	out := make([]RangeInfo, 0, e.active.Len())
 	e.active.Walk(func(_ netip.Prefix, rs *rangeState) bool {
 		out = append(out, e.info(rs))
 		return true
-	})
-	sort.Slice(out, func(i, j int) bool {
-		return netaddr.KeyOf(out[i].Prefix).Less(netaddr.KeyOf(out[j].Prefix))
 	})
 	return out
 }

@@ -10,8 +10,10 @@
 package netaddr
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"net/netip"
 )
 
@@ -89,11 +91,11 @@ func IsLowChild(p netip.Prefix) bool {
 func BitAt(addr netip.Addr, i int) bool { return bitAt(addr, i) }
 
 func bitAt(addr netip.Addr, i int) bool {
-	b := addr.As16()
 	if addr.Is4() {
-		b4 := addr.As4()
-		return b4[i/8]&(1<<(7-i%8)) != 0
+		b := addr.As4()
+		return b[i/8]&(1<<(7-i%8)) != 0
 	}
+	b := addr.As16()
 	return b[i/8]&(1<<(7-i%8)) != 0
 }
 
@@ -122,6 +124,10 @@ func flipBit(addr netip.Addr, i int) netip.Addr {
 // Key is a canonical comparable identifier for a prefix: family, length and
 // the masked address bits. It is suitable as a map key and sorts IPv4 before
 // IPv6, then by address, then by length.
+//
+// The address is held left-aligned in two words (an IPv4 address occupies
+// the top 32 bits of hi), so bit tests, containment and common-prefix
+// lengths are shifts and masks rather than byte-array walks.
 type Key struct {
 	hi, lo uint64
 	// bits is the prefix length. uint8, not int8: an IPv6 /128 must
@@ -134,36 +140,69 @@ type Key struct {
 // Masked() is applied defensively.
 func KeyOf(p netip.Prefix) Key {
 	p = p.Masked()
-	a := p.Addr()
+	k := KeyOfAddr(p.Addr())
+	k.bits = uint8(p.Bits())
+	return k
+}
+
+// KeyOfAddr returns the host-route key of addr: a /32 for IPv4, a /128 for
+// IPv6. It does not unmap 4-in-6 addresses.
+func KeyOfAddr(a netip.Addr) Key {
 	if a.Is4() {
 		b := a.As4()
-		return Key{
-			hi:   uint64(b[0])<<56 | uint64(b[1])<<48 | uint64(b[2])<<40 | uint64(b[3])<<32,
-			bits: uint8(p.Bits()),
-		}
+		return Key{hi: uint64(binary.BigEndian.Uint32(b[:])) << 32, bits: 32}
 	}
 	b := a.As16()
-	var hi, lo uint64
-	for i := 0; i < 8; i++ {
-		hi = hi<<8 | uint64(b[i])
-		lo = lo<<8 | uint64(b[i+8])
-	}
-	return Key{hi: hi, lo: lo, bits: uint8(p.Bits()), v6: true}
+	return Key{hi: binary.BigEndian.Uint64(b[:8]), lo: binary.BigEndian.Uint64(b[8:]), bits: 128, v6: true}
 }
 
 // Prefix reconstructs the prefix identified by k.
 func (k Key) Prefix() netip.Prefix {
 	if !k.v6 {
-		return netip.PrefixFrom(netip.AddrFrom4([4]byte{
-			byte(k.hi >> 56), byte(k.hi >> 48), byte(k.hi >> 40), byte(k.hi >> 32),
-		}), int(k.bits))
+		var b [4]byte
+		binary.BigEndian.PutUint32(b[:], uint32(k.hi>>32))
+		return netip.PrefixFrom(netip.AddrFrom4(b), int(k.bits))
 	}
 	var b [16]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(k.hi >> (8 * (7 - i)))
-		b[i+8] = byte(k.lo >> (8 * (7 - i)))
-	}
+	binary.BigEndian.PutUint64(b[:8], k.hi)
+	binary.BigEndian.PutUint64(b[8:], k.lo)
 	return netip.PrefixFrom(netip.AddrFrom16(b), int(k.bits))
+}
+
+// Bit returns bit i (0-based from the most significant bit) of the key's
+// address; it agrees with BitAt on the prefix address. i must be below the
+// family's address width.
+func (k Key) Bit(i int) bool {
+	if i < 64 {
+		return k.hi>>(63-i)&1 != 0
+	}
+	return k.lo>>(127-i)&1 != 0
+}
+
+// CommonLen returns the length of the longest prefix containing both k and
+// o: the number of leading address bits they share, capped at the shorter
+// of the two lengths. Both keys must be of the same family.
+func (k Key) CommonLen(o Key) int {
+	n := 128
+	if x := k.hi ^ o.hi; x != 0 {
+		n = bits.LeadingZeros64(x)
+	} else if x := k.lo ^ o.lo; x != 0 {
+		n = 64 + bits.LeadingZeros64(x)
+	}
+	return min(n, int(k.bits), int(o.bits))
+}
+
+// Truncate returns the key of the length-n prefix containing k. n must not
+// exceed k.Bits().
+func (k Key) Truncate(n int) Key {
+	if n < 64 {
+		k.hi &^= ^uint64(0) >> n
+		k.lo = 0
+	} else {
+		k.lo &^= ^uint64(0) >> (n - 64)
+	}
+	k.bits = uint8(n)
+	return k
 }
 
 // Bits returns the prefix length stored in the key.

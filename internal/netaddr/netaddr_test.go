@@ -289,4 +289,67 @@ func TestBitAt(t *testing.T) {
 	if !BitAt(a6, 0) {
 		t.Error("bit 0 of 8000:: should be set")
 	}
+
+	// Key.Bit must agree with BitAt at every position of both families,
+	// on host keys and on prefix keys.
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 200; i++ {
+		for _, p := range []netip.Prefix{randomPrefix4(r), randomPrefix6(r)} {
+			hk := KeyOfAddr(p.Addr())
+			pk := KeyOf(p)
+			for bit := 0; bit < HostBits(p); bit++ {
+				want := BitAt(p.Addr(), bit)
+				if hk.Bit(bit) != want || pk.Bit(bit) != want {
+					t.Fatalf("bit %d of %v: Key.Bit = %v/%v, BitAt = %v", bit, p, hk.Bit(bit), pk.Bit(bit), want)
+				}
+			}
+		}
+	}
+}
+
+// TestKeyCommonLenAndTruncate checks the integer prefix arithmetic against
+// the netip reference: CommonLen is the length of the longest prefix
+// containing both keys, and Truncate is Mask.
+func TestKeyCommonLenAndTruncate(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	for i := 0; i < 2000; i++ {
+		var a, b netip.Prefix
+		if i%2 == 0 {
+			a, b = randomPrefix4(r), randomPrefix4(r)
+		} else {
+			a, b = randomPrefix6(r), randomPrefix6(r)
+			if i%4 == 1 {
+				// Share the first word so the divergence lands in the
+				// second one.
+				a16, b16 := a.Addr().As16(), b.Addr().As16()
+				copy(b16[:8], a16[:8])
+				b = netip.PrefixFrom(netip.AddrFrom16(b16), b.Bits()).Masked()
+			}
+		}
+		want := min(a.Bits(), b.Bits())
+		for bit := 0; bit < want; bit++ {
+			if BitAt(a.Addr(), bit) != BitAt(b.Addr(), bit) {
+				want = bit
+				break
+			}
+		}
+		ka, kb := KeyOf(a), KeyOf(b)
+		if got := ka.CommonLen(kb); got != want {
+			t.Fatalf("CommonLen(%v, %v) = %d, want %d", a, b, got, want)
+		}
+		if got := kb.CommonLen(ka); got != want {
+			t.Fatalf("CommonLen(%v, %v) = %d, want %d", b, a, got, want)
+		}
+		n := r.Intn(a.Bits() + 1)
+		m, _ := Mask(a.Addr(), n)
+		if got := ka.Truncate(n); got != KeyOf(m) {
+			t.Fatalf("Truncate(%v, %d) = %v, want %v", a, n, got, m)
+		}
+	}
+	if got := KeyOf(mustPrefix(t, "10.0.0.0/8")).CommonLen(KeyOf(mustPrefix(t, "10.0.0.0/8"))); got != 8 {
+		t.Errorf("CommonLen of equal /8 keys = %d, want 8", got)
+	}
+	if got := KeyOfAddr(netip.MustParseAddr("::1")).CommonLen(KeyOfAddr(netip.MustParseAddr("::1"))); got != 128 {
+		t.Errorf("CommonLen of equal /128 keys = %d, want 128", got)
+	}
 }

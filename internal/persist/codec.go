@@ -48,7 +48,7 @@ const (
 )
 
 // Encoder builds a CRC-guarded payload: a magic/version header, caller
-//-appended primitives, and a CRC-32 trailer over everything before it.
+// -appended primitives, and a CRC-32 trailer over everything before it.
 type Encoder struct {
 	buf []byte
 }

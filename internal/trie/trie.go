@@ -2,31 +2,37 @@
 // netip.Prefix with longest-prefix-match lookup.
 //
 // The trie stores IPv4 and IPv6 entries in two independent trees (the
-// families never alias). It is the substrate for the validation LPM tables
-// built from IPD output (§5.1 of the paper), for the BGP RIB, and for
-// auxiliary range bookkeeping. The zero value of Trie is not ready to use;
+// families never alias). It is the substrate of the IPD engine's active
+// range partition (a long-lived table, mutated by every split, join and
+// collapse), of the validation LPM tables built from IPD output (§5.1 of the
+// paper), and of the BGP RIB. The zero value of Trie is not ready to use;
 // call New.
 //
+// Nodes are keyed on integers (netaddr.Key: the prefix left-aligned in two
+// uint64 words plus its length). Each entry point converts its netip
+// argument once; the walk itself descends by shift and mask, with
+// containment and divergence taken from the leading-zero count of an XOR.
+// Delete prunes valueless nodes that no longer branch, so the tree stays
+// within twice its entry count however long it lives.
+//
 // Trie is not safe for concurrent mutation; concurrent readers are safe in
-// the absence of writers. The IPD pipeline rebuilds lookup tables per time
-// bin and swaps them atomically, so this matches the intended usage.
+// the absence of writers.
 package trie
 
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 	"strings"
 
 	"ipd/internal/netaddr"
 )
 
-// node is a path-compressed trie node. Its prefix is the full CIDR range it
+// node is a path-compressed trie node. Its key is the full CIDR range it
 // represents; children (when present) are strictly longer prefixes contained
 // in it. A node either carries a value (hasVal) or exists purely as a branch
-// point.
+// point; every valueless node other than a family root has two children.
 type node[V any] struct {
-	prefix netip.Prefix
+	key    netaddr.Key
 	child  [2]*node[V]
 	val    V
 	hasVal bool
@@ -43,8 +49,8 @@ type Trie[V any] struct {
 // New returns an empty trie.
 func New[V any]() *Trie[V] {
 	return &Trie[V]{
-		root4: &node[V]{prefix: netip.PrefixFrom(netip.IPv4Unspecified(), 0)},
-		root6: &node[V]{prefix: netip.PrefixFrom(netip.IPv6Unspecified(), 0)},
+		root4: &node[V]{key: netaddr.KeyOf(netip.PrefixFrom(netip.IPv4Unspecified(), 0))},
+		root6: &node[V]{key: netaddr.KeyOf(netip.PrefixFrom(netip.IPv6Unspecified(), 0))},
 	}
 }
 
@@ -65,21 +71,40 @@ func countNodes[V any](n *node[V]) int {
 	return 1 + countNodes(n.child[0]) + countNodes(n.child[1])
 }
 
-func (t *Trie[V]) rootFor(p netip.Prefix) *node[V] {
-	if p.Addr().Is4() {
-		return t.root4
+func (t *Trie[V]) rootFor(k netaddr.Key) *node[V] {
+	if k.IsIPv6() {
+		return t.root6
 	}
-	return t.root6
+	return t.root4
+}
+
+// prefixKey converts p to its trie key: 4-in-6 addresses are unmapped and
+// the prefix is masked. ok is false when p (or its unmapped form) is
+// invalid.
+func prefixKey(p netip.Prefix) (netaddr.Key, bool) {
+	p = netip.PrefixFrom(p.Addr().Unmap(), p.Bits())
+	if !p.IsValid() {
+		return netaddr.Key{}, false
+	}
+	return netaddr.KeyOf(p), true
+}
+
+// dir is the child index selected by bit i of k.
+func dir(k netaddr.Key, i int) int {
+	if k.Bit(i) {
+		return 1
+	}
+	return 0
 }
 
 // Insert sets the value for prefix p, replacing any existing value. p is
 // masked defensively. Insert panics if p is invalid.
 func (t *Trie[V]) Insert(p netip.Prefix, v V) {
-	if !p.IsValid() {
+	k, ok := prefixKey(p)
+	if !ok {
 		panic(fmt.Sprintf("trie: invalid prefix %v", p))
 	}
-	p = netip.PrefixFrom(p.Addr().Unmap(), p.Bits()).Masked()
-	n := t.insertNode(t.rootFor(p), p)
+	n := insertNode(t.rootFor(k), k)
 	if !n.hasVal {
 		t.len++
 	}
@@ -87,167 +112,160 @@ func (t *Trie[V]) Insert(p netip.Prefix, v V) {
 	n.hasVal = true
 }
 
-// insertNode finds or creates the node for p under n (which must contain p)
+// insertNode finds or creates the node for k under n (which must contain k)
 // and returns it.
-func (t *Trie[V]) insertNode(n *node[V], p netip.Prefix) *node[V] {
+func insertNode[V any](n *node[V], k netaddr.Key) *node[V] {
 	for {
-		if n.prefix == p {
+		if n.key == k {
 			return n
 		}
 		// Descend by the bit just below n's prefix length.
-		dir := 0
-		if netaddr.BitAt(p.Addr(), n.prefix.Bits()) {
-			dir = 1
-		}
-		c := n.child[dir]
+		d := dir(k, n.key.Bits())
+		c := n.child[d]
 		if c == nil {
-			n.child[dir] = &node[V]{prefix: p}
-			return n.child[dir]
+			c = &node[V]{key: k}
+			n.child[d] = c
+			return c
 		}
-		if c.prefix.Contains(p.Addr()) && c.prefix.Bits() <= p.Bits() {
+		common := c.key.CommonLen(k)
+		switch {
+		case common == c.key.Bits():
+			// c contains k: keep descending.
 			n = c
-			continue
-		}
-		if p.Contains(c.prefix.Addr()) && p.Bits() < c.prefix.Bits() {
-			// p sits between n and c: splice a node for p above c.
-			nn := &node[V]{prefix: p}
-			cdir := 0
-			if netaddr.BitAt(c.prefix.Addr(), p.Bits()) {
-				cdir = 1
-			}
-			nn.child[cdir] = c
-			n.child[dir] = nn
+		case common == k.Bits():
+			// k sits between n and c: splice a node for k above c.
+			nn := &node[V]{key: k}
+			nn.child[dir(c.key, common)] = c
+			n.child[d] = nn
 			return nn
-		}
-		// Diverge: create a branch node at the common prefix of p and c.
-		common := commonPrefix(p, c.prefix)
-		branch := &node[V]{prefix: common}
-		pdir, cdir := 0, 0
-		if netaddr.BitAt(p.Addr(), common.Bits()) {
-			pdir = 1
-		}
-		if netaddr.BitAt(c.prefix.Addr(), common.Bits()) {
-			cdir = 1
-		}
-		// common is a strict ancestor of both and they differ at bit
-		// common.Bits(), so pdir != cdir.
-		branch.child[cdir] = c
-		pn := &node[V]{prefix: p}
-		branch.child[pdir] = pn
-		n.child[dir] = branch
-		return pn
-	}
-}
-
-// commonPrefix returns the longest prefix containing both a and b (same
-// family).
-func commonPrefix(a, b netip.Prefix) netip.Prefix {
-	bits := a.Bits()
-	if b.Bits() < bits {
-		bits = b.Bits()
-	}
-	for i := 0; i < bits; i++ {
-		if netaddr.BitAt(a.Addr(), i) != netaddr.BitAt(b.Addr(), i) {
-			bits = i
-			break
+		default:
+			// Diverge: k and c differ at bit common, so a branch node at
+			// their common prefix takes them as its two children.
+			branch := &node[V]{key: k.Truncate(common)}
+			kn := &node[V]{key: k}
+			branch.child[dir(c.key, common)] = c
+			branch.child[dir(k, common)] = kn
+			n.child[d] = branch
+			return kn
 		}
 	}
-	p, _ := netaddr.Mask(a.Addr(), bits)
-	return p
 }
 
 // Get returns the value stored exactly at p.
 func (t *Trie[V]) Get(p netip.Prefix) (V, bool) {
+	if k, ok := prefixKey(p); ok {
+		// Nothing longer than p contains p, so an entry at p is the
+		// longest match for it.
+		if n := t.lookup(k); n != nil && n.key.Bits() == k.Bits() {
+			return n.val, true
+		}
+	}
 	var zero V
-	if !p.IsValid() {
-		return zero, false
-	}
-	p = netip.PrefixFrom(p.Addr().Unmap(), p.Bits()).Masked()
-	n := t.rootFor(p)
-	for n != nil {
-		if n.prefix == p {
-			if n.hasVal {
-				return n.val, true
-			}
-			return zero, false
-		}
-		if n.prefix.Bits() >= p.Bits() || !n.prefix.Contains(p.Addr()) {
-			return zero, false
-		}
-		dir := 0
-		if netaddr.BitAt(p.Addr(), n.prefix.Bits()) {
-			dir = 1
-		}
-		n = n.child[dir]
-	}
 	return zero, false
 }
 
 // Delete removes the value stored exactly at p and reports whether a value
-// was present. Branch-only nodes left behind are harmless and are not
-// eagerly pruned (tables are rebuilt per time bin).
+// was present. The emptied node is pruned when it has fewer than two
+// children, and so is a valueless parent left with a single child, so every
+// valueless node below a family root keeps branching.
 func (t *Trie[V]) Delete(p netip.Prefix) bool {
-	if !p.IsValid() {
+	k, ok := prefixKey(p)
+	if !ok {
 		return false
 	}
-	p = netip.PrefixFrom(p.Addr().Unmap(), p.Bits()).Masked()
-	n := t.rootFor(p)
-	for n != nil {
-		if n.prefix == p {
-			if n.hasVal {
-				n.hasVal = false
-				var zero V
-				n.val = zero
-				t.len--
-				return true
-			}
+	// gp -> parent -> n is the descent; gd and pd are the child slots taken.
+	var gp, parent *node[V]
+	var gd, pd int
+	n := t.rootFor(k)
+	for {
+		nb := n.key.Bits()
+		if n.key.CommonLen(k) < nb {
 			return false
 		}
-		if n.prefix.Bits() >= p.Bits() || !n.prefix.Contains(p.Addr()) {
+		if nb == k.Bits() {
+			break
+		}
+		d := dir(k, nb)
+		if n.child[d] == nil {
 			return false
 		}
-		dir := 0
-		if netaddr.BitAt(p.Addr(), n.prefix.Bits()) {
-			dir = 1
-		}
-		n = n.child[dir]
+		gp, gd = parent, pd
+		parent, pd = n, d
+		n = n.child[d]
 	}
-	return false
+	if !n.hasVal {
+		return false
+	}
+	var zero V
+	n.val, n.hasVal = zero, false
+	t.len--
+	if parent == nil {
+		return true // family roots stay, valued or not
+	}
+	switch {
+	case n.child[0] != nil && n.child[1] != nil:
+		// Still a branch point.
+	case n.child[0] != nil || n.child[1] != nil:
+		parent.child[pd] = onlyChild(n)
+	default:
+		parent.child[pd] = nil
+		// The parent may now be a valueless node with one child.
+		if gp != nil && !parent.hasVal {
+			gp.child[gd] = onlyChild(parent)
+		}
+	}
+	return true
+}
+
+// onlyChild returns n's single child (nil when n has none).
+func onlyChild[V any](n *node[V]) *node[V] {
+	if n.child[0] != nil {
+		return n.child[0]
+	}
+	return n.child[1]
 }
 
 // Lookup performs a longest-prefix match for addr and returns the most
 // specific stored prefix containing it.
 func (t *Trie[V]) Lookup(addr netip.Addr) (netip.Prefix, V, bool) {
-	var (
-		zero  V
-		bestP netip.Prefix
-		bestV V
-		found bool
-	)
-	if !addr.IsValid() {
-		return bestP, zero, false
-	}
-	addr = addr.Unmap()
-	var n *node[V]
-	if addr.Is4() {
-		n = t.root4
-	} else {
-		n = t.root6
-	}
-	for n != nil && n.prefix.Contains(addr) {
-		if n.hasVal {
-			bestP, bestV, found = n.prefix, n.val, true
+	if addr.IsValid() {
+		if n := t.lookup(netaddr.KeyOfAddr(addr.Unmap())); n != nil {
+			return n.key.Prefix(), n.val, true
 		}
-		if n.prefix.Bits() >= netaddr.HostBits(n.prefix) {
+	}
+	var zero V
+	return netip.Prefix{}, zero, false
+}
+
+// LookupPrefix performs a longest-prefix match for the *whole* prefix p: the
+// most specific stored prefix that contains all of p.
+func (t *Trie[V]) LookupPrefix(p netip.Prefix) (netip.Prefix, V, bool) {
+	if k, ok := prefixKey(p); ok {
+		if n := t.lookup(k); n != nil {
+			return n.key.Prefix(), n.val, true
+		}
+	}
+	var zero V
+	return netip.Prefix{}, zero, false
+}
+
+// lookup returns the deepest valued node containing k, or nil.
+func (t *Trie[V]) lookup(k netaddr.Key) *node[V] {
+	var best *node[V]
+	for n := t.rootFor(k); n != nil; {
+		nb := n.key.Bits()
+		if n.key.CommonLen(k) < nb {
+			break // n does not contain k
+		}
+		if n.hasVal {
+			best = n
+		}
+		if nb == k.Bits() {
 			break
 		}
-		dir := 0
-		if netaddr.BitAt(addr, n.prefix.Bits()) {
-			dir = 1
-		}
-		n = n.child[dir]
+		n = n.child[dir(k, nb)]
 	}
-	return bestP, bestV, found
+	return best
 }
 
 // Path returns the prefixes of the *stored* entries visited on the
@@ -259,62 +277,25 @@ func (t *Trie[V]) Path(addr netip.Addr) []netip.Prefix {
 	if !addr.IsValid() {
 		return nil
 	}
-	addr = addr.Unmap()
-	var n *node[V]
-	if addr.Is4() {
-		n = t.root4
-	} else {
-		n = t.root6
-	}
+	k := netaddr.KeyOfAddr(addr.Unmap())
 	var out []netip.Prefix
-	for n != nil && n.prefix.Contains(addr) {
+	for n := t.rootFor(k); n != nil && n.key.CommonLen(k) == n.key.Bits(); {
 		if n.hasVal {
-			out = append(out, n.prefix)
+			out = append(out, n.key.Prefix())
 		}
-		if n.prefix.Bits() >= netaddr.HostBits(n.prefix) {
+		if n.key.Bits() == k.Bits() {
 			break
 		}
-		dir := 0
-		if netaddr.BitAt(addr, n.prefix.Bits()) {
-			dir = 1
-		}
-		n = n.child[dir]
+		n = n.child[dir(k, n.key.Bits())]
 	}
 	return out
 }
 
-// LookupPrefix performs a longest-prefix match for the *whole* prefix p: the
-// most specific stored prefix that contains all of p.
-func (t *Trie[V]) LookupPrefix(p netip.Prefix) (netip.Prefix, V, bool) {
-	var (
-		zero  V
-		bestP netip.Prefix
-		bestV V
-		found bool
-	)
-	if !p.IsValid() {
-		return bestP, zero, false
-	}
-	p = netip.PrefixFrom(p.Addr().Unmap(), p.Bits()).Masked()
-	n := t.rootFor(p)
-	for n != nil && n.prefix.Contains(p.Addr()) && n.prefix.Bits() <= p.Bits() {
-		if n.hasVal {
-			bestP, bestV, found = n.prefix, n.val, true
-		}
-		if n.prefix.Bits() == p.Bits() {
-			break
-		}
-		dir := 0
-		if netaddr.BitAt(p.Addr(), n.prefix.Bits()) {
-			dir = 1
-		}
-		n = n.child[dir]
-	}
-	return bestP, bestV, found
-}
-
-// Walk visits every stored (prefix, value) pair in address order (IPv4 first,
-// then IPv6). Returning false from fn stops the walk.
+// Walk visits every stored (prefix, value) pair in netaddr.Key order: IPv4
+// before IPv6, then by address, then shorter prefixes first. This is the
+// trie's pre-order: a node precedes the longer prefixes it contains, and
+// its 0-bit subtree precedes its 1-bit subtree. Returning false from fn
+// stops the walk.
 func (t *Trie[V]) Walk(fn func(p netip.Prefix, v V) bool) {
 	if !walk(t.root4, fn) {
 		return
@@ -326,22 +307,19 @@ func walk[V any](n *node[V], fn func(p netip.Prefix, v V) bool) bool {
 	if n == nil {
 		return true
 	}
-	if n.hasVal && !fn(n.prefix, n.val) {
+	if n.hasVal && !fn(n.key.Prefix(), n.val) {
 		return false
 	}
 	return walk(n.child[0], fn) && walk(n.child[1], fn)
 }
 
-// Prefixes returns all stored prefixes sorted by family, address, and
-// length.
+// Prefixes returns all stored prefixes in Walk order (sorted by family,
+// address, and length).
 func (t *Trie[V]) Prefixes() []netip.Prefix {
 	out := make([]netip.Prefix, 0, t.len)
 	t.Walk(func(p netip.Prefix, _ V) bool {
 		out = append(out, p)
 		return true
-	})
-	sort.Slice(out, func(i, j int) bool {
-		return netaddr.KeyOf(out[i]).Less(netaddr.KeyOf(out[j]))
 	})
 	return out
 }
@@ -350,9 +328,9 @@ func (t *Trie[V]) Prefixes() []netip.Prefix {
 // tests.
 func (t *Trie[V]) String() string {
 	var b strings.Builder
-	for _, p := range t.Prefixes() {
-		v, _ := t.Get(p)
+	t.Walk(func(p netip.Prefix, v V) bool {
 		fmt.Fprintf(&b, "%v -> %v\n", p, v)
-	}
+		return true
+	})
 	return b.String()
 }
