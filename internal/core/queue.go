@@ -142,6 +142,9 @@ func (q *IngestQueue) Len() int {
 	return q.n
 }
 
+// Cap returns the queue capacity in records.
+func (q *IngestQueue) Cap() int { return len(q.buf) }
+
 // Shed returns how many records the queue has dropped under overload.
 func (q *IngestQueue) Shed() uint64 { return q.shed.Value() }
 
